@@ -137,8 +137,6 @@ class Operator:
         #: the AnalysisReport of the compile-time verify gate (None when
         #: the gate was off; call :meth:`analyze` for an on-demand run)
         self.analysis = None
-        self._cache_info = {'status': 'off', 'key': None, 'tier': None,
-                            'saved_seconds': 0.0, 'nbytes': 0}
         #: the *effective* execution backend ('numpy' or 'c') — resolved
         #: before fingerprinting so a toolchain-less host never keys
         #: into (or stores) compiled artifacts
@@ -146,39 +144,9 @@ class Operator:
         self.backend = jit.resolve_backend(
             backend if backend is not None else configuration['backend'])
 
-        from ..buildcache import fingerprint_build, get_cache
-        bcache = get_cache(cache)
-        key = symtab = None
-        if bcache is not None:
-            try:
-                key, symtab = fingerprint_build(
-                    expressions, mpi_mode=self._mpi_requested, opt=opt,
-                    verify=self._verify, sanitizer=self._sanitize,
-                    instrument=self.profiler.enabled,
-                    progress=self._progress,
-                    backend='py' if self.backend == 'numpy' else
-                    self.backend)
-            except TypeError:
-                # inputs outside the token grammar: build cold, always
-                self._cache_info['status'] = 'uncacheable'
-        if key is not None:
-            self._cache_info['key'] = key
-            if self._warm_build(bcache, key, symtab):
-                return
-
-        tic = _time.perf_counter()
-        self._cold_build(expressions, opt)
-        build_seconds = _time.perf_counter() - tic
-        self.profiler.record_build_time('build', build_seconds)
-        if key is not None:
-            self._cache_info['status'] = 'miss'
-            bcache.note_miss()
-            try:
-                from ..codegen.artifact import KernelArtifact
-                bcache.store(key, KernelArtifact.extract(
-                    self, build_seconds=build_seconds))
-            except Exception:  # noqa: BLE001 - caching is best-effort
-                pass
+        #: the ``cache=`` spec, resolved again by every (re)build
+        self._cache = cache
+        self._build()
 
     # -- build-time plumbing ----------------------------------------------------
 
@@ -199,14 +167,59 @@ class Operator:
                 "sanitizer= expects 'poison', 'reconcile' or a "
                 "boolean-like value, got %r" % (value,)) from None
 
-    def _cold_build(self, expressions, opt):
-        """The full pipeline: lower, schedule, codegen, (verify), bind."""
-        self._schedule = build_schedule(expressions,
-                                        mpi_mode=self._mpi_requested,
-                                        opt=opt)
-        self.grid = self._schedule.grid
-        self.mpi_mode = self._schedule.mpi_mode
-        self.kernel = generate_kernel(self._schedule,
+    def _build(self):
+        """Build or rehydrate the kernel for the grid's *current*
+        decomposition — the only build path.  ``__init__`` and every
+        repartition (:func:`repro.resilience.elastic.repartition`) call
+        it: fingerprint, look up, then rehydrate the cached artifact or
+        run the cold pipeline and store its artifact.  The fingerprint
+        covers each dimension's split sizes, so a decomposition that
+        recurs (an autoscaler oscillating, a shrink replayed by the next
+        shot) rehydrates instead of re-lowering."""
+        from ..buildcache import fingerprint_build, get_cache
+        self._cache_info = {'status': 'off', 'key': None, 'tier': None,
+                            'saved_seconds': 0.0, 'nbytes': 0}
+        bcache = get_cache(self._cache)
+        key = symtab = None
+        if bcache is not None:
+            try:
+                key, symtab = fingerprint_build(
+                    self._expressions, mpi_mode=self._mpi_requested,
+                    opt=self._opt, verify=self._verify,
+                    sanitizer=self._sanitize,
+                    instrument=self.profiler.enabled,
+                    progress=self._progress,
+                    backend='py' if self.backend == 'numpy' else
+                    self.backend)
+            except TypeError:
+                # inputs outside the token grammar: build cold, always
+                self._cache_info['status'] = 'uncacheable'
+        if key is not None:
+            self._cache_info['key'] = key
+            if self._warm_build(bcache, key, symtab):
+                return
+
+        tic = _time.perf_counter()
+        self._cold_build()
+        build_seconds = _time.perf_counter() - tic
+        self.profiler.record_build_time('build', build_seconds)
+        if key is not None:
+            self._cache_info['status'] = 'miss'
+            bcache.note_miss()
+            try:
+                from ..codegen.artifact import KernelArtifact
+                bcache.store(key, KernelArtifact.extract(
+                    self, build_seconds=build_seconds))
+            except Exception:  # noqa: BLE001 - caching is best-effort
+                pass
+
+    def _cold_build(self):
+        """The full pipeline: lower (unless a schedule valid for this
+        decomposition is kept), codegen, certify, (verify), bind."""
+        schedule = self.schedule
+        self.grid = schedule.grid
+        self.mpi_mode = schedule.mpi_mode
+        self.kernel = generate_kernel(schedule,
                                       progress=self._progress,
                                       profiler=self.profiler,
                                       sanitizer=self._sanitize is True,
@@ -216,15 +229,14 @@ class Operator:
         # the demotion is deterministic per cache key.
         self.backend = self.kernel.backend
         from ..analysis.certificate import build_certificate
-        self.certificate = build_certificate(self._schedule)
+        self.certificate = build_certificate(schedule)
         if self._verify:
             from ..analysis import verify_schedule
-            self.analysis = verify_schedule(self._schedule,
-                                            kernel=self.kernel,
+            self.analysis = verify_schedule(schedule, kernel=self.kernel,
                                             profiler=self.profiler)
         self._bind_sparse_plans()
-        self._flops_per_point = self._schedule.flops_per_point()
-        self._traffic_per_point = self._schedule.traffic_per_point(
+        self._flops_per_point = schedule.flops_per_point()
+        self._traffic_per_point = schedule.traffic_per_point(
             self.grid.dtype.itemsize)
 
     def _warm_build(self, bcache, key, symtab):
@@ -292,10 +304,13 @@ class Operator:
         """The operator's :class:`~repro.ir.schedule.Schedule`.
 
         After a cache hit no schedule exists (that is the point of the
-        cache); the rare consumers that genuinely need one — ``ccode``,
-        :meth:`analyze`, schedule-mutating tests, shrink recovery —
-        trigger a lazy rebuild here.  The pipeline is deterministic, so
-        the rebuilt schedule matches the cached kernel.
+        cache); the consumers that need one — ``ccode``, :meth:`analyze`,
+        schedule-mutating tests, the verifier that every repartition
+        re-runs — trigger a lazy lowering here.  A repartition discards
+        the schedule exactly when the set of split dimensions changes
+        (the exchange steps depend on it), so the next access lowers
+        against the new decomposition.  The pipeline is deterministic,
+        so the lowered schedule matches the cached kernel.
         """
         if self._schedule is None:
             self._schedule = build_schedule(self._expressions,

@@ -204,7 +204,8 @@ class Data:
         reconstructed by the next exchange).  Returns the number of
         bytes written locally.
 
-        This is the receive side of the shrink-recovery repartitioner:
+        This is the receive side of the repartitioner
+        (:func:`repro.resilience.elastic.repartition`): live or
         checkpointed blocks expressed in the *old* decomposition's
         global ranges land here under the *new* decomposition.
         """

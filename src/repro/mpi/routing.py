@@ -28,8 +28,8 @@ def block_intersections(space_ranges, distributor):
     per-dimension global ranges of the (non-empty) intersection.
 
     This is the dense-block counterpart of :class:`PointRouting`: the
-    shrink-recovery repartitioner uses it to scatter checkpointed blocks
-    rank-to-rank after the Cartesian topology changed.
+    repartitioner (:func:`repro.resilience.elastic.repartition`) uses
+    it to move blocks rank-to-rank after the decomposition changed.
     """
     out = []
     for rank in range(distributor.nprocs):

@@ -477,6 +477,24 @@ class SimWorld:
         with self._rv_cond:
             self._rv_cond.notify_all()
 
+    def successor(self, orig_of):
+        """The next generation of this logical run (after a shrink or
+        a grow): a fresh world over original ranks ``orig_of`` with the
+        same transport settings, fault plan and lineage, every fired
+        kill disarmed (kills are keyed on original ranks and must not
+        re-fire on the rebuilt world) and the recovery counters carried
+        over."""
+        new = SimWorld(len(orig_of),
+                       faults=self.faults if self.faults is not None
+                       else False,
+                       recv_timeout=self.recv_timeout,
+                       max_retries=self.max_retries,
+                       check_interval=self.check_interval,
+                       orig_of=orig_of, lineage=self.lineage)
+        new.disarmed_kills = self.disarmed_kills | self.pending_kills
+        new.recovery_stats = dict(self.recovery_stats)
+        return new
+
     def coordinate(self, rank, fn=None, timeout=None):
         """Out-of-band rendezvous of all *alive* ranks.
 

@@ -6,10 +6,10 @@ Cooperating pieces, wired into ``Operator.apply``:
   (one npz per rank, manifest written last as the completion marker);
 * :mod:`.recovery` — the ``restart`` (same-world) and ``shrink``
   (ULFM-style drop-the-dead-rank) recovery drivers;
-* :mod:`.elastic` — live repartitioning: ``grow`` onto announced
-  ranks, weighted ``rebalance`` of the current world, and the
-  rejoin protocol that lets healed victims and pooled reserves enter
-  a running job;
+* :mod:`.elastic` — the one repartition path (shared by shrink),
+  ``grow`` onto announced ranks, weighted ``rebalance`` of the
+  current world, and the rejoin protocol that lets healed victims
+  and pooled reserves enter a running job;
 * :mod:`.health` — periodic NaN/Inf/amplitude scans raising a
   diagnosable :class:`NumericalHealthError`;
 * :mod:`.controller` — the per-apply supervisor tying them together.

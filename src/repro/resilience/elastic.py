@@ -1,41 +1,42 @@
-"""Elastic repartitioning: grow, rebalance and rejoin live operators.
+"""Repartitioning a live operator: the one path for shrink, grow,
+rejoin and rebalance.
 
-PR 3's shrink recovery could only *lose* ranks: the survivors rebuild a
-smaller world and repartition the checkpoint onto it.  This module
-generalizes the same block-intersection/alltoall machinery into a
-first-class elastic subsystem that moves *live* state (no checkpoint
-I/O on the fast path) in any direction the topology allows:
+:func:`repartition` moves an operator onto a new decomposition in a
+fixed order: swap the distributor, reallocate the distributed data,
+drop the sparse routing, discard the schedule when the set of split
+dimensions changes, rebuild through ``Operator._build`` (the build
+cache's rehydrate-or-cold-build step, the same one ``__init__`` runs),
+move the DOMAIN blocks rank-to-rank in one ``alltoall`` routed by
+:func:`~repro.mpi.routing.block_intersections`, and re-run the static
+verifier.  Only the source of the blocks differs by direction:
 
 ``perform_grow``
     extend a running world onto every rank announced on the lineage —
     healed kill victims under ``recovery='grow'``, or reserve ranks
     parked by an autoscaling scheduler.  The survivors coordinate a
-    grant (new :class:`~repro.mpi.sim.SimWorld` with an extended
-    ``orig_of``, restored topology, resume step), every cohort rebuilds
-    its decomposition/kernel, and DOMAIN blocks move rank-to-rank in
-    one ``alltoall`` routed by
-    :func:`~repro.mpi.routing.block_intersections`.
+    grant (the successor :class:`~repro.mpi.sim.SimWorld`, restored
+    topology, resume step) and ship their live blocks.
+
+``rejoin``
+    the joiner's half of a grow: park on the lineage until a grant
+    covers this original rank, then enter :func:`repartition`
+    receive-only (blocks plus the replicated sparse arrays).
 
 ``perform_rebalance``
     re-split the *same* world with per-rank weights (explicit, or
     measured from the profiler's per-rank compute time) through the
-    weighted :class:`~repro.mpi.decomposition.Decomposition`, moving
-    only the blocks whose ownership changed boundaries.
+    weighted :class:`~repro.mpi.decomposition.Decomposition`.
 
-``rejoin``
-    the joiner's half of a grow: park on the lineage until a grant
-    covers this original rank, rebuild against the granted world, and
-    receive blocks (plus the replicated sparse arrays) in the same
-    alltoall.
+``perform_shrink`` (:mod:`.recovery`)
+    drop a dead rank: the survivors ship the checkpoint blocks that
+    :func:`~repro.resilience.recovery.repartition_restore` reads.
 
-Both transitions land at a *top-of-step* boundary: the resilience tick
+Live transitions land at a *top-of-step* boundary: the resilience tick
 raises :class:`RepartitionRequest` before any communication of the
 step, so the moved state is globally consistent and — because results
 are invariant to the decomposition — the completed run stays
-bit-identical to a never-repartitioned one.  Every post-repartition
-schedule re-runs the static verifier before a single step executes on
-it (the PR 4 ``opt='verify'`` contract, now machine-checking
-elasticity too).
+bit-identical to a never-repartitioned one.  No repartitioned schedule
+runs a step before passing the verifier.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from ..mpi.sim import RemoteRankError, SimComm, SimWorld, new_lineage
 __all__ = ['RepartitionRequest', 'announce_rejoin', 'awaiting_origs',
            'measured_rank_weights', 'new_lineage', 'perform_grow',
            'perform_rebalance', 'rank_weights_to_dim_weights',
-           'rejoin', 'repartition_operator', 'run_elastic']
+           'rejoin', 'repartition', 'repartition_operator',
+           'run_elastic']
 
 
 class RepartitionRequest(RemoteRankError):
@@ -154,159 +156,119 @@ def measured_rank_weights(op, comm):
     return tuple(1.0 / t for t in times)
 
 
-# -- the live-block mover -----------------------------------------------------
+# -- the one repartition path ------------------------------------------------
 
-def _capture_blocks(op):
-    """Snapshot every function's DOMAIN block under the *current*
-    decomposition, before the distributor is swapped."""
-    dist = op.grid.distributor
-    ranges = tuple(tuple(int(v) for v in r) for r in dist.local_ranges())
-    blocks = {f.name: f.data.local.copy() for f in op.functions}
-    return ranges, blocks
+def _split(dist):
+    return tuple(p > 1 for p in dist.topology)
 
 
-def _rebuild_decomposition(op, comm, topology=None, weights=None):
-    """Re-decompose the operator's grid over ``comm`` and regenerate
-    the kernel (iteration boxes and exchangers are compile-time
-    constants of the decomposition).  Freshly allocated arrays are
-    zeroed: DOMAIN regions are filled by the mover, halo cells outside
-    the global domain are zero by construction, and interior halos are
-    rebuilt by each timestep's exchange before any read."""
+def _live_blocks(op, sparse=False):
+    """This rank's DOMAIN blocks under the *current* decomposition, in
+    the ``blocks`` format of :func:`repartition`.  The views keep the
+    old arrays alive after reallocation, so nothing is copied.  With
+    ``sparse`` the replicated sparse arrays ride along (a grow, where
+    joiners carry stale sparse state)."""
+    ranges = tuple(tuple(int(v) for v in r)
+                   for r in op.grid.distributor.local_ranges())
+    blocks = [(ranges, {f.name: f.data.local for f in op.functions})]
+    if sparse:
+        blocks.append((None, {s.name: s.data
+                              for s in op.sparse_functions}))
+    return blocks
+
+
+def repartition(op, comm, topology=None, weights=None, blocks=()):
+    """Move ``op`` onto a new decomposition over ``comm`` (collective
+    over ``comm``).  Returns the payload bytes this rank received.
+
+    ``blocks`` is what this rank ships: ``(ranges, arrays)`` pairs,
+    where ``arrays`` maps function names to DOMAIN blocks covering the
+    per-grid-dimension global ``ranges`` of an old decomposition — or,
+    with ``ranges=None``, sparse-function names to replicated arrays
+    sent whole to every rank.  Live transitions pass their own blocks
+    (:func:`_live_blocks`), shrink the checkpoint blocks it reads.
+
+    Freshly allocated arrays are zeroed: DOMAIN regions are filled by
+    the move, halo cells outside the global domain are zero by
+    construction, and interior halos are rebuilt by each timestep's
+    exchange before any read.  The verifier then re-checks the
+    schedule with the same passes the ``opt='verify'`` gate runs;
+    :class:`~repro.analysis.AnalysisError` propagates and fails the
+    run loudly.
+    """
     grid = op.grid
-    old_split = tuple(p > 1 for p in grid.distributor.topology)
-    new_dist = Distributor(grid.shape, comm=comm, topology=topology,
-                           weights=weights)
-    grid.distributor = new_dist
+    old_split = _split(grid.distributor)
+    dist = grid.distributor = Distributor(grid.shape, comm=comm,
+                                          topology=topology,
+                                          weights=weights)
     for f in op.functions:
-        f._data = Data(f._dim_specs(), new_dist, dtype=f.dtype)
+        f._data = Data(f._dim_specs(), dist, dtype=f.dtype)
     for s in op.sparse_functions:
         s._routing = None   # point-ownership plans depend on the topology
-    if tuple(p > 1 for p in new_dist.topology) != old_split:
-        # the *set* of distributed dimensions changed (e.g. a 2->4 grow
-        # turning (2,1) into (2,2)): the old schedule has no exchange
-        # steps for the newly split dimension.  Discard it — the lazy
-        # ``op.schedule`` property rebuilds deterministically against
-        # the swapped-in distributor
+    if _split(dist) != old_split:
+        # the exchange steps are lowered per split dimension: a (2,1)
+        # schedule has no y-exchange for (2,2), a (2,2) one exchanges a
+        # dimension (3,1) does not split
         op.schedule = None
-    _rebuild_kernel(op)
-    op._bind_sparse_plans()
-    return new_dist
+    op._build()
 
-
-def _rebuild_kernel(op):
-    """Regenerate (or cache-rehydrate) the kernel for the operator's
-    *current* decomposition.  The build-cache fingerprint covers the
-    full per-dimension split sizes, so a repartition that recurs — an
-    autoscaler oscillating between the same two decompositions, or a
-    pool of survey jobs growing onto the same reserves — rehydrates
-    instead of re-lowering."""
-    from ..buildcache import fingerprint_build, get_cache
-    from ..codegen.pybackend import generate_kernel
-
-    bcache = get_cache(None)
-    key = symtab = None
-    if bcache is not None:
-        try:
-            key, symtab = fingerprint_build(
-                op._expressions, mpi_mode=op._mpi_requested, opt=op._opt,
-                verify=op._verify, sanitizer=op._sanitize,
-                instrument=op.profiler.enabled, progress=op._progress,
-                backend='py' if getattr(op, 'backend', 'numpy')
-                == 'numpy' else op.backend)
-        except TypeError:
-            key = None
-    if key is not None:
-        artifact, tier = bcache.lookup(key)
-        if artifact is not None:
-            try:
-                op.kernel = artifact.rehydrate(symtab,
-                                               progress=op._progress,
-                                               profiler=op.profiler)
-                bcache.note_hit(artifact, tier)
-                return
-            except Exception:  # noqa: BLE001 - any defect -> rebuild
-                pass
-    tic = _time.perf_counter()
-    op.kernel = generate_kernel(op.schedule, progress=op._progress,
-                                profiler=op.profiler,
-                                sanitizer=op._sanitize,
-                                backend=getattr(op, 'backend', 'numpy'))
-    if key is not None:
-        bcache.note_miss()
-        try:
-            from ..codegen.artifact import KernelArtifact
-            bcache.store(key, KernelArtifact.extract(
-                op, build_seconds=_time.perf_counter() - tic))
-        except Exception:  # noqa: BLE001 - caching is best-effort
-            pass
-
-
-def _move_blocks(op, old_ranges, old_blocks, sparse_sender=None):
-    """One alltoall moving captured DOMAIN blocks onto the (already
-    swapped-in) new decomposition.  Joiners pass ``old_blocks=None``
-    (receive-only).  ``sparse_sender`` (a rank of the *new* comm) ships
-    the replicated sparse arrays to everyone — only needed on a grow,
-    where joiners carry stale sparse state.  Returns the payload bytes
-    this rank received."""
-    dist = op.grid.distributor
-    comm = dist.comm
-    by_name = {f.name: f for f in op.functions}
-    outgoing = [[] for _ in range(comm.size)]
-    if old_blocks is not None:
-        routes = block_intersections(old_ranges, dist)
-        for name, f in by_name.items():
-            arr = old_blocks[name]
-            for dest, isect in routes:
-                key = []
-                for spec in f.data.specs:
-                    if spec.dist_index is None:
-                        key.append(slice(None))
-                    else:
-                        a, b = isect[spec.dist_index]
-                        lo, _ = old_ranges[spec.dist_index]
-                        key.append(slice(a - lo, b - lo))
+    funcs = {f.name: f for f in op.functions}
+    sparse = {s.name: s for s in op.sparse_functions}
+    outgoing = [[] for _ in range(dist.comm.size)]
+    for ranges, arrays in blocks:
+        if ranges is None:
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(arr)
+                for box in outgoing:
+                    box.append((name, None, arr))
+            continue
+        for dest, isect in block_intersections(ranges, dist):
+            clip = [slice(a - lo, b - lo)
+                    for (a, b), (lo, _) in zip(isect, ranges)]
+            for name, arr in arrays.items():
+                key = tuple(slice(None) if spec.dist_index is None
+                            else clip[spec.dist_index]
+                            for spec in funcs[name].data.specs)
                 outgoing[dest].append(
-                    ('f', name, isect,
-                     np.ascontiguousarray(arr[tuple(key)])))
-    if sparse_sender is not None and comm.rank == sparse_sender:
-        for s in op.sparse_functions:
-            arr = np.ascontiguousarray(np.asarray(s.data))
-            for dest in range(comm.size):
-                outgoing[dest].append(('s', s.name, None, arr))
-    received = comm.alltoall(outgoing)
+                    (name, isect, np.ascontiguousarray(arr[key])))
     nbytes = 0
-    sparse_by_name = {s.name: s for s in op.sparse_functions}
-    for blocks in received:
-        for kind, name, isect, arr in blocks:
-            if kind == 'f':
-                nbytes += by_name[name].data.scatter_block(isect, arr)
-            else:
-                sparse_by_name[name].data[...] = arr
+    for received in dist.comm.alltoall(outgoing):
+        for name, isect, arr in received:
+            if isect is None:
+                sparse[name].data[...] = arr
                 nbytes += arr.nbytes
-    return nbytes
+            else:
+                nbytes += funcs[name].data.scatter_block(isect, arr)
 
-
-def _finish_repartition(op, nbytes, grown=0):
-    """Account the move and re-run the static verifier (collective).
-
-    The verifier re-check contract: no post-repartition schedule runs a
-    single step before passing the same ``opt='verify'`` gate a cold
-    build faces — :class:`~repro.analysis.AnalysisError` propagates and
-    fails the run loudly.
-    """
-    comm = op.grid.distributor.comm
-    world = comm.world
-    total = comm.allreduce(int(nbytes))
-    if comm.rank == 0:
-        world.recovery_stats['repartitions'] += 1
-        world.recovery_stats['repartition_bytes'] += int(total)
-        world.recovery_stats['grown_ranks'] += int(grown)
     from ..analysis import verify_schedule
     op.analysis = verify_schedule(op.schedule, kernel=op.kernel,
                                   profiler=op.profiler)
+    return nbytes
+
+
+def _count_repartition(op, nbytes, grown=0):
+    """Fold one live repartition into the world's ``recovery_stats``
+    (collective)."""
+    comm = op.grid.distributor.comm
+    total = comm.allreduce(int(nbytes))
+    if comm.rank == 0:
+        stats = comm.world.recovery_stats
+        stats['repartitions'] += 1
+        stats['repartition_bytes'] += int(total)
+        stats['grown_ranks'] += int(grown)
 
 
 # -- grow ---------------------------------------------------------------------
+
+def _enter_grant(op, grant, orig, blocks):
+    """Repartition onto a grow grant as original rank ``orig``."""
+    world = grant['world']
+    base = SimComm(world, world.orig_of.index(orig))
+    nbytes = repartition(op, base, grant['topology'], grant['weights'],
+                         blocks)
+    _count_repartition(op, nbytes, grown=len(grant['joiners']))
+    return nbytes
+
 
 def perform_grow(op, comm, step, weights=None):
     """Grow the live operator onto every announced joiner (collective
@@ -314,8 +276,8 @@ def perform_grow(op, comm, step, weights=None):
     lineage and participate in the block alltoall on the new comm).
 
     Returns ``(new_comm, nbytes_received_locally)``; as a side effect
-    the operator's grid, data, sparse routing and kernel are rebuilt
-    for the extended topology and the run can resume at ``step``.
+    the operator is repartitioned onto the extended topology and the
+    run can resume at ``step``.
     """
     old_world = comm.world
     lineage = old_world.lineage
@@ -325,36 +287,21 @@ def perform_grow(op, comm, step, weights=None):
             healed = tuple(sorted(lineage['awaiting']))
             lineage['awaiting'].clear()
         old_world.reset()
-        # satellite: bank fired kills across the boundary, keyed on
-        # original ranks — a kill that fired before the grow must not
-        # re-fire on the rebuilt world
-        disarmed = old_world.disarmed_kills | old_world.pending_kills
         survivors = tuple(old_world.orig_of)
-        new_origs = tuple(sorted(set(survivors) | set(healed)))
-        new_world = SimWorld(
-            len(new_origs),
-            faults=old_world.faults if old_world.faults is not None
-            else False,
-            recv_timeout=old_world.recv_timeout,
-            max_retries=old_world.max_retries,
-            check_interval=old_world.check_interval,
-            orig_of=new_origs,
-            lineage=lineage)
-        new_world.disarmed_kills = set(disarmed)
-        new_world.recovery_stats = dict(old_world.recovery_stats)
+        new_world = old_world.successor(
+            tuple(sorted(set(survivors) | set(healed))))
         top0 = lineage['topology0']
-        if top0 is not None and int(np.prod(top0)) == len(new_origs):
+        if top0 is not None and int(np.prod(top0)) == new_world.size:
             topology = tuple(top0)  # restore the pre-shrink process grid
         else:
             topology = shrink_dims(op.grid.distributor.topology,
-                                   len(new_origs))
+                                   new_world.size)
         dim_weights = None
         if weights is not None:
             dim_weights = rank_weights_to_dim_weights(weights, topology)
         grant = {'world': new_world, 'step': int(step),
                  'topology': topology, 'weights': dim_weights,
-                 'joiners': healed,
-                 'sparse_sender': new_origs.index(min(survivors)),
+                 'joiners': healed, 'sparse_sender': min(survivors),
                  'epoch': lineage['epoch'] + 1}
         with lineage['cond']:
             lineage['epoch'] = grant['epoch']
@@ -365,25 +312,19 @@ def perform_grow(op, comm, step, weights=None):
     grant = old_world.coordinate(comm.rank, plan)
     if not grant['joiners']:
         raise RemoteRankError("grow requested with no announced joiners")
-    old_ranges, old_blocks = _capture_blocks(op)
-    new_world = grant['world']
-    new_rank = new_world.orig_of.index(old_world.orig_of[comm.rank])
-    base = SimComm(new_world, new_rank)
-    _rebuild_decomposition(op, base, topology=grant['topology'],
-                           weights=grant['weights'])
-    nbytes = _move_blocks(op, old_ranges, old_blocks,
-                          sparse_sender=grant['sparse_sender'])
-    _finish_repartition(op, nbytes, grown=len(grant['joiners']))
+    orig = old_world.orig_of[comm.rank]
+    nbytes = _enter_grant(op, grant, orig, _live_blocks(
+        op, sparse=orig == grant['sparse_sender']))
     return op.grid.distributor.comm, nbytes
 
 
 def rejoin(op, lineage, orig, timeout=120.0):
-    """The joiner's half of a grow: park until granted, rebuild, receive.
+    """The joiner's half of a grow: park until granted, then repartition.
 
     Blocks until a grant covers original rank ``orig`` (announce first
-    with :func:`announce_rejoin`), rebuilds this rank's substrate
-    against the granted world and joins the block alltoall receive-only.
-    Returns ``(new_comm, resume_step, nbytes_received)``.
+    with :func:`announce_rejoin`), then enters :func:`repartition` on
+    the granted world receive-only.  Returns ``(new_comm, resume_step,
+    nbytes_received)``.
     """
     cond = lineage['cond']
     deadline = _time.monotonic() + float(timeout)
@@ -398,14 +339,7 @@ def rejoin(op, lineage, orig, timeout=120.0):
                     "original rank %d waited %.0fs for a grow grant "
                     "that never came" % (orig, timeout))
             cond.wait(remaining)
-    new_world = grant['world']
-    new_rank = new_world.orig_of.index(int(orig))
-    base = SimComm(new_world, new_rank)
-    _rebuild_decomposition(op, base, topology=grant['topology'],
-                           weights=grant['weights'])
-    nbytes = _move_blocks(op, None, None,
-                          sparse_sender=grant['sparse_sender'])
-    _finish_repartition(op, nbytes, grown=len(grant['joiners']))
+    nbytes = _enter_grant(op, grant, int(orig), ())
     return op.grid.distributor.comm, int(grant['step']), nbytes
 
 
@@ -424,12 +358,11 @@ def perform_rebalance(op, comm, weights=None):
                          % (comm.size, len(weights)))
     dist = op.grid.distributor
     dim_weights = rank_weights_to_dim_weights(weights, dist.topology)
-    old_ranges, old_blocks = _capture_blocks(op)
     # the existing Cartesian comm is reused (Distributor passthrough):
     # same world, same neighbors, new split boundaries
-    _rebuild_decomposition(op, dist.comm, weights=dim_weights)
-    nbytes = _move_blocks(op, old_ranges, old_blocks)
-    _finish_repartition(op, nbytes)
+    nbytes = repartition(op, dist.comm, weights=dim_weights,
+                         blocks=_live_blocks(op))
+    _count_repartition(op, nbytes)
     return op.grid.distributor.comm, nbytes
 
 

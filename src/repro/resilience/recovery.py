@@ -14,15 +14,11 @@ failed):
 
 ``shrink``
     ULFM-style: the victim marks itself dead and leaves; the survivors
-    build a *new* ``SimWorld``/Cartesian topology, re-decompose every
-    distributed array, regenerate the kernel (iteration boxes and
-    exchangers are compile-time constants of the decomposition), and
-    repartition the checkpointed blocks rank-to-rank through
-    :func:`~repro.mpi.routing.block_intersections` — no gather through
-    a single rank.  Only DOMAIN regions are shipped: halo cells outside
-    the global domain are zero by construction, interior halos are
-    rebuilt by each timestep's exchange before any read (the compiler's
-    halo-placement invariant).
+    move onto a successor ``SimWorld`` and a smaller Cartesian topology
+    through :func:`~repro.resilience.elastic.repartition`, the path
+    every grow, rejoin and rebalance takes too.  The blocks it ships
+    come from the checkpoint (:func:`repartition_restore`), not from
+    live memory: the dead rank's state only survives on disk.
 
 Both resume at the checkpoint step; because the timestep loop is
 deterministic and the restored state is exact, the completed run is
@@ -31,13 +27,9 @@ bit-identical to a fault-free one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..mpi.cart import shrink_dims
-from ..mpi.data import Data
-from ..mpi.distributor import Distributor
-from ..mpi.routing import block_intersections
-from ..mpi.sim import SimComm, SimWorld
+from ..mpi.sim import SimComm
+from .elastic import repartition
 
 __all__ = ['perform_restart', 'perform_shrink', 'repartition_restore']
 
@@ -70,14 +62,14 @@ def perform_shrink(op, comm, checkpointer):
 
     The victim never calls this — it marked itself dead and re-raised.
     Returns ``(new_comm, resume_step, bytes_restored_locally)``; as a
-    side effect the operator's grid, distributed data, sparse routing
-    and kernel are rebuilt for the new topology.
+    side effect the operator is repartitioned onto the survivors.  A
+    shrink counts as a recovery and a checkpoint restore, not as a
+    repartition.
     """
     old_world = comm.world
 
     def plan():
         old_world.reset()
-        disarmed = old_world.disarmed_kills | old_world.pending_kills
         alive = old_world.alive_ranks()
         step, manifest = checkpointer.latest_valid()
         lineage = old_world.lineage
@@ -86,118 +78,64 @@ def perform_shrink(op, comm, checkpointer):
                 # remember the pre-shrink process grid so a later grow
                 # back to full size restores it exactly
                 lineage['topology0'] = tuple(op.grid.distributor.topology)
-        new_world = SimWorld(
-            len(alive),
-            faults=old_world.faults if old_world.faults is not None
-            else False,
-            recv_timeout=old_world.recv_timeout,
-            max_retries=old_world.max_retries,
-            check_interval=old_world.check_interval,
-            orig_of=tuple(old_world.orig_of[r] for r in alive),
-            lineage=lineage)
-        new_world.disarmed_kills = set(disarmed)
-        stats = dict(old_world.recovery_stats)
-        stats['recoveries'] += 1
-        stats['ranks_lost'] += old_world.size - len(alive)
-        new_world.recovery_stats = stats
+        new_world = old_world.successor(
+            tuple(old_world.orig_of[r] for r in alive))
+        new_world.recovery_stats['recoveries'] += 1
+        new_world.recovery_stats['ranks_lost'] += \
+            old_world.size - len(alive)
         return alive, new_world, step, manifest
 
     alive, new_world, step, manifest = old_world.coordinate(comm.rank, plan)
-
-    # -- rebuild the distributed substrate on the survivors ---------------
-    grid = op.grid
-    new_rank = alive.index(comm.rank)
-    base = SimComm(new_world, new_rank)
-    topology = shrink_dims(grid.distributor.topology, new_world.size)
-    new_dist = Distributor(grid.shape, comm=base, topology=topology)
-    grid.distributor = new_dist
-    functions = op.functions
-    for f in functions:
-        # fresh (zeroed) allocation under the new decomposition
-        f._data = Data(f._dim_specs(), new_dist, dtype=f.dtype)
-    for s in op.sparse_functions:
-        s._routing = None  # point-ownership plans depend on the topology
-
-    # iteration boxes and exchangers are compile-time constants of the
-    # decomposition: the kernel must be regenerated
-    from ..codegen.pybackend import generate_kernel
-    op.kernel = generate_kernel(op.schedule, progress=op._progress,
-                                profiler=op.profiler,
-                                backend=getattr(op, 'backend', 'numpy'))
-    op._bind_sparse_plans()
-
-    nbytes = repartition_restore(checkpointer, step, manifest,
-                                 new_dist.comm, new_dist, functions,
-                                 op.sparse_functions, new_world)
-    return new_dist.comm, step, nbytes
+    base = SimComm(new_world, alive.index(comm.rank))
+    blocks = repartition_restore(checkpointer, step, manifest, base)
+    nbytes = repartition(op, base, shrink_dims(op.grid.distributor.topology,
+                                               new_world.size),
+                         blocks=blocks)
+    new_comm = op.grid.distributor.comm
+    total = new_comm.allreduce(nbytes)
+    if new_comm.rank == 0:
+        new_world.recovery_stats['checkpoints_restored'] += 1
+        new_world.recovery_stats['restored_bytes'] += int(total)
+    return new_comm, step, nbytes
 
 
-def repartition_restore(checkpointer, step, manifest, comm, dist,
-                        functions, sparse_functions, world):
-    """Scatter a checkpoint written under an *old* decomposition onto the
-    ranks of a *new* one (collective over ``comm``).
+def repartition_restore(checkpointer, step, manifest, comm):
+    """The checkpoint blocks this rank ships to the survivors' new
+    decomposition, in the ``blocks`` format of
+    :func:`~repro.resilience.elastic.repartition`.
 
-    Reader assignment: a survivor re-reads its own old file; files of
-    dead ranks are spread round-robin over the survivors (no gather to
-    rank 0).  Each reader clips the old DOMAIN blocks against every new
-    rank's subdomain (:func:`block_intersections`) and the pieces move
-    rank-to-rank in one ``alltoall``; :meth:`Data.scatter_block` lands
-    them.  Returns the number of payload bytes this rank received.
+    Reader assignment (``comm`` is the survivors' world): a survivor
+    re-reads its own old file; files of dead ranks are spread
+    round-robin over the survivors — no gather to rank 0.  Each file
+    read yields its DOMAIN blocks (halo stripped) under the old
+    decomposition's global ranges, plus the sparse arrays it carries.
     """
-    alive_orig = list(world.orig_of)
-    readers = {}
+    alive_orig = list(comm.world.orig_of)
+    fmeta = manifest['functions']
+    blocks = []
     spill = 0
     for entry in manifest['ranks']:
         r = entry['rank']
         if r in alive_orig:
-            readers[r] = alive_orig.index(r)
+            reader = alive_orig.index(r)
         else:
-            readers[r] = spill % comm.size
+            reader = spill % comm.size
             spill += 1
-
-    fmeta = manifest['functions']
-    by_name = {f.name: f for f in functions}
-    outgoing = [[] for _ in range(comm.size)]
-    for entry in manifest['ranks']:
-        if readers[entry['rank']] != comm.rank:
+        if reader != comm.rank:
             continue
-        blobs, _, _ = checkpointer.read_rank_blob(step, manifest,
-                                                  entry['rank'])
-        space_ranges = [tuple(int(v) for v in r) for r in entry['ranges']]
-        for name, f in by_name.items():
+        blobs, _, _ = checkpointer.read_rank_blob(step, manifest, r)
+        ranges = tuple(tuple(int(v) for v in rg) for rg in entry['ranges'])
+        domains = {}
+        for name, meta in fmeta.items():
             stored = blobs['f:%s' % name]
-            halo = fmeta[name]['halo']
-            nlocal = stored.ndim - len(space_ranges)  # leading local dims
-            key = [slice(None)] * nlocal
-            for (lo, hi), (left, _) in zip(space_ranges, halo):
+            key = [slice(None)] * (stored.ndim - len(ranges))
+            for (lo, hi), (left, _) in zip(ranges, meta['halo']):
                 key.append(slice(left, left + (hi - lo)))
-            domain = stored[tuple(key)]
-            for dest, isect in block_intersections(space_ranges, dist):
-                sub = [slice(None)] * nlocal
-                for (a, b), (lo, _) in zip(isect, space_ranges):
-                    sub.append(slice(a - lo, b - lo))
-                outgoing[dest].append(
-                    ('f', name, isect,
-                     np.ascontiguousarray(domain[tuple(sub)])))
-        for sname, smeta in manifest.get('sparse', {}).items():
-            if smeta['rank'] != entry['rank']:
-                continue
-            arr = blobs['s:%s' % sname]
-            for dest in range(comm.size):
-                outgoing[dest].append(('s', sname, None, arr))
-
-    received = comm.alltoall(outgoing)
-    nbytes = 0
-    sparse_by_name = {s.name: s for s in sparse_functions}
-    for blocks in received:
-        for kind, name, isect, arr in blocks:
-            if kind == 'f':
-                nbytes += by_name[name].data.scatter_block(isect, arr)
-            else:
-                sparse_by_name[name].data[...] = arr
-                nbytes += arr.nbytes
-    total = comm.allreduce(nbytes)
-    if comm.rank == 0:
-        world.recovery_stats['checkpoints_restored'] += 1
-        world.recovery_stats['restored_bytes'] += int(total)
-    return nbytes
+            domains[name] = stored[tuple(key)]
+        blocks.append((ranges, domains))
+        sparse = {name: blobs['s:%s' % name]
+                  for name, smeta in manifest.get('sparse', {}).items()
+                  if smeta['rank'] == r}
+        if sparse:
+            blocks.append((None, sparse))
+    return blocks

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import Eq, Grid, Operator, TimeFunction, configuration, solve
+from repro.buildcache import get_cache
 from repro.mpi import run_parallel
 from repro.mpi.sim import SimComm, SimWorld
 from repro.resilience import (REPARTITION_POLICIES,
@@ -48,14 +49,14 @@ def _initial(shape=SHAPE):
                          np.arange(shape[1]) * 0.001).astype(np.float32))
 
 
-def _build(comm, shape=SHAPE, topology=None, mpi='diagonal'):
+def _build(comm, shape=SHAPE, topology=None, mpi='diagonal', **op_kwargs):
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
                 comm=comm, topology=topology)
     u = TimeFunction(name='u', grid=grid, space_order=2)
     u.data[0] = _initial(shape)
     eq = Eq(u.dt, u.laplace)
     op = Operator([Eq(u.forward, solve(eq, u.forward))],
-                  mpi=mpi if comm is not None else None)
+                  mpi=mpi if comm is not None else None, **op_kwargs)
     return op, u
 
 
@@ -282,6 +283,40 @@ class TestRepartitionAPI:
         op, _ = _build(None)
         with pytest.raises(ValueError):
             op.apply(time_M=2, dt=DT, repartition='sideways')
+
+
+class TestRepartitionReconcile:
+    def test_rebalance_keeps_reconcile_mode(self, tmp_path):
+        """A rebalanced ``sanitizer='reconcile'`` operator gets a fresh
+        certificate (the next apply reconciles cleanly), stays free of
+        poison hooks, and caches no hooked kernel under a reconcile
+        key."""
+        oracle = _oracle()
+        # a fresh process cache: every artifact in it comes from the
+        # reconcile-mode operators below
+        configuration['cache_dir'] = str(tmp_path)
+        try:
+            def job(comm):
+                op, u = _build(comm, topology=(2, 2),
+                               sanitizer='reconcile')
+                op.apply(time_M=STEPS // 2, dt=DT)
+                before = op.certificate
+                op.repartition(weights=(3.0, 1.0, 1.0, 1.0))
+                hooks = op.kernel.sanitizer
+                op.apply(time_m=STEPS // 2 + 1, time_M=STEPS, dt=DT)
+                return u.data.gather(), hooks, before != op.certificate
+
+            results = run_parallel(job, 4)
+            artifacts = list(get_cache()._memo.values())
+        finally:
+            del configuration['cache_dir']
+        for r, (data, hooks, recertified) in enumerate(results):
+            assert np.array_equal(data, oracle), 'rank %d mismatch' % r
+            assert hooks is None
+        assert any(recertified for _, _, recertified in results)
+        assert artifacts
+        assert all(a.payload['sanitizer_writes'] is None
+                   for a in artifacts)
 
 
 class TestWeightHelpers:

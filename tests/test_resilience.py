@@ -29,6 +29,8 @@ import numpy as np
 import pytest
 
 from repro import (Eq, Grid, Operator, TimeFunction, configuration, solve)
+from repro.buildcache import get_cache
+from repro.codegen import jit
 from repro.ioutil import atomic_write_bytes, atomic_write_json
 from repro.mpi import (RankKilledError, RemoteRankError, SimComm, SimWorld,
                        run_parallel)
@@ -55,13 +57,9 @@ def _leaked_progress_threads():
             if t.name == 'mpi-progress' and t.is_alive()]
 
 
-def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
-         topology=None, progress=False, **apply_kwargs):
-    """One SPMD rank of the reference diffusion problem.
-
-    Returns ``(gathered field, summary)``; a rank killed under shrink
-    recovery returns None (it left the job, the survivors finish it).
-    """
+def _problem(comm, mpi='diagonal', shape=(12, 12), so=2, topology=None,
+             **op_kwargs):
+    """The reference diffusion problem on ``comm``: ``(op, u)``."""
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
                 comm=comm, topology=topology)
     u = TimeFunction(name='u', grid=grid, space_order=so)
@@ -71,7 +69,19 @@ def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
     u.data[0] = init
     eq = Eq(u.dt, u.laplace)
     op = Operator([Eq(u.forward, solve(eq, u.forward))], mpi=mpi,
-                  progress=progress)
+                  **op_kwargs)
+    return op, u
+
+
+def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
+         topology=None, progress=False, **apply_kwargs):
+    """One SPMD rank of the reference diffusion problem.
+
+    Returns ``(gathered field, summary)``; a rank killed under shrink
+    recovery returns None (it left the job, the survivors finish it).
+    """
+    op, u = _problem(comm, mpi=mpi, shape=shape, so=so, topology=topology,
+                     progress=progress)
     try:
         summary = op.apply(time_M=steps - 1, dt=DT, **apply_kwargs)
     except RankKilledError:
@@ -398,6 +408,116 @@ class TestShrinkRecovery:
         survivors = [r for r in out if r is not None]
         assert len(survivors) == 1
         assert np.array_equal(survivors[0][0], reference)
+
+
+# -- one rebuild path: recovery x sanitizer x backend ---------------------------
+
+needs_cc = pytest.mark.skipif(jit.find_compiler() is None,
+                              reason='no C toolchain on this host')
+
+#: name -> (ranks, topology, fault plan, policy, final world size)
+REBUILD_CASES = {
+    'shrink-2to1': (2, None, 'seed=1,kill=1@5', 'shrink', 1),
+    'shrink-4to3': (4, (2, 2), 'seed=5,kill=2@4', 'shrink', 3),
+    'grow-4to3to4': (4, (2, 2), 'seed=5,kill=2@4', 'grow', 4),
+}
+
+
+class TestRebuildMatrix:
+    """Shrink and grow rebuild the operator through the same build path
+    as ``Operator.__init__``: the result is bit-identical to the serial
+    oracle, the poison hooks survive, the post-repartition verifier ran
+    on the final schedule, and the certificate is the one a cold build
+    on the final decomposition derives."""
+
+    @pytest.mark.parametrize('backend',
+                             ['numpy', pytest.param('c', marks=needs_cc)])
+    @pytest.mark.parametrize('sanitizer', ['off', 'poison'])
+    @pytest.mark.parametrize('case', sorted(REBUILD_CASES))
+    def test_cell(self, tmp_path, case, sanitizer, backend):
+        ranks, topology, faults, policy, final_size = REBUILD_CASES[case]
+        reference = _serial_reference()
+        configuration['faults'] = faults
+
+        def job(comm):
+            op, u = _problem(comm, topology=topology, sanitizer=sanitizer,
+                             backend=backend)
+            try:
+                op.apply(time_M=STEPS - 1, dt=DT, recovery=policy,
+                         checkpoint_every=3, checkpoint_dir=str(tmp_path))
+            except RankKilledError:
+                return None
+            dist = op.grid.distributor
+            twin, _ = _problem(dist.comm, sanitizer=sanitizer, cache=False)
+            report = op.analysis
+            return {'field': u.data.gather(), 'size': dist.nprocs,
+                    'parallel': dist.is_parallel,
+                    'backend': op.kernel.backend,
+                    'hooks': op.kernel.sanitizer is not None,
+                    'twin_hooks': twin.kernel.sanitizer is not None,
+                    'fresh': report is not None
+                    and report.schedule is op.schedule
+                    and report.kernel is op.kernel,
+                    'diagnostics': None if report is None
+                    else report.codes,
+                    'certificate': op.certificate,
+                    'twin_certificate': twin.certificate}
+
+        out = [r for r in run_parallel(job, ranks) if r is not None]
+        assert len(out) == final_size
+        for rank, cell in enumerate(out):
+            assert cell['size'] == final_size
+            assert np.array_equal(cell['field'], reference), rank
+            assert cell['backend'] == backend
+            # poison hooks exist iff neighbor-owned ghost cells do
+            assert cell['hooks'] == (sanitizer == 'poison'
+                                     and cell['parallel']), rank
+            assert cell['hooks'] == cell['twin_hooks']
+            assert cell['fresh'], rank
+            assert cell['diagnostics'] == [], rank
+            assert cell['certificate'] == cell['twin_certificate'], rank
+        assert not _leaked_progress_threads()
+
+
+class TestShrinkBuildCache:
+    def test_second_shrink_rehydrates_from_memory(self, tmp_path):
+        """A shrink rebuilds through the build cache: the second
+        kill -> shrink solve in the process finds the survivor's
+        post-shrink kernel in the memory tier."""
+        configuration['build_cache'] = 'memory'
+        configuration['cache_dir'] = str(tmp_path / 'cache')
+        try:
+            cache = get_cache()
+            outcomes, hits = [], []
+            for attempt in range(2):
+                configuration['faults'] = 'seed=1,kill=1@5'
+                ckdir = str(tmp_path / ('ck%d' % attempt))
+
+                def job(comm):
+                    op, _ = _problem(comm, mpi='basic')
+                    try:
+                        op.apply(time_M=STEPS - 1, dt=DT,
+                                 recovery='shrink', checkpoint_every=2,
+                                 checkpoint_dir=ckdir)
+                    except RankKilledError:
+                        return None
+                    return op.cache_info()
+
+                before = cache.stats['memory_hits']
+                outcomes.append([r for r in run_parallel(job, 2)
+                                 if r is not None])
+                hits.append(cache.stats['memory_hits'] - before)
+        finally:
+            del configuration['build_cache']
+            del configuration['cache_dir']
+        (first,), (second,) = outcomes
+        assert first['status'] == 'miss'
+        assert second['status'] == 'hit'
+        assert second['tier'] == 'memory'
+        assert first['key'] == second['key']
+        # both ranks' __init__ hit the first solve's artifacts, and so
+        # does the survivor's post-shrink rebuild
+        assert hits == [0, 3]
 
 
 # -- resume from disk -----------------------------------------------------------
